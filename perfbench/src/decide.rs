@@ -540,7 +540,6 @@ fn layer_metrics(
     };
     let traced_wall = median(&traced.iter().map(|p| p.wall_ns).collect::<Vec<_>>());
     let untraced_wall = median(&untraced.iter().map(|p| p.wall_ns).collect::<Vec<_>>());
-    let passes = traced.len() as f64;
     let pass_total: f64 = as_f64(tracer.durations("decide.pass")).iter().sum();
     let place_total: f64 = ["core.place_cold", "core.place_warm", "core.place_regional"]
         .iter()
@@ -586,7 +585,7 @@ fn layer_metrics(
             count("bland_activations"),
             "count",
         ),
-        Metric::new("trace.traced_pass_ms", ns_to_ms(pass_total / passes), "ms"),
+        Metric::new("trace.traced_pass_ms", ns_to_ms(traced_wall), "ms"),
         Metric::new(
             "trace.overhead_ms",
             ns_to_ms(traced_wall - untraced_wall),
