@@ -440,6 +440,10 @@ pub fn execute(config: &RunConfig) -> Execution {
     let mut traced = Vec::new();
     let mut tracer = Tracer::new();
     let mut measured_ns = 0.0;
+    // The latencies take each decision's fastest untraced pass, so the
+    // untraced measurement always makes two: with one pass on a slow host
+    // and two on a fast one, the pass count itself would move the median.
+    let min_untraced = if config.traced { 1 } else { 2 };
     loop {
         let pass = run_pass(&mut stream, None);
         measured_ns += pass.wall_ns;
@@ -449,7 +453,7 @@ pub fn execute(config: &RunConfig) -> Execution {
             measured_ns += pass.wall_ns;
             traced.push(pass);
         }
-        if measured_ns >= config.seconds * 1e9 {
+        if measured_ns >= config.seconds * 1e9 && untraced.len() >= min_untraced {
             break;
         }
     }

@@ -1,4 +1,4 @@
-//! Benchmark driver.
+//! Benchmark entry point.
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
