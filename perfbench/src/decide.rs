@@ -28,8 +28,8 @@
 use crate::stats::{median, peak_rss_mb, quantile};
 use crate::tracer::Tracer;
 use crate::{
-    compare_counters, ns_to_ms, reference, timed_setup, Counters, Execution, Metric, RunConfig,
-    Scale, DEFAULT_SEED,
+    compare_counters, ns_to_ms, reference, Counters, Execution, Metric, RunConfig, Scale, Setup,
+    DEFAULT_SEED,
 };
 use carbonedge_core::{
     IncrementalPlacer, MigrationCostLevel, PlacementPolicy, PlacementProblem, PlacementState,
@@ -53,9 +53,12 @@ pub const REGIONAL_SIZES: [(usize, usize); 2] = [(1, 5), (5, 8)];
 pub const REPLANS: usize = 11;
 /// Regional decisions per round.
 pub const REGIONAL_PER_ROUND: usize = 10;
-/// Rounds per pass: 46 × 22 = 1012 decisions, so at least ten samples lie
-/// beyond the p99.
-pub const ROUNDS: usize = 46;
+/// Rounds per pass: 24 × 22 = 528 decisions, four turns of the corridor
+/// rotation (3 sizes × 2 areas).
+pub const ROUNDS: usize = 24;
+/// Untraced passes a full-size execution always makes: their decisions are
+/// pooled, so at least ten samples lie beyond the p99.
+pub const MIN_UNTRACED_PASSES: usize = 2;
 /// Rounds per pass of the reduced stream.
 pub const REDUCED_ROUNDS: usize = 3;
 /// The exact-path size limit, covering the largest corridor (the setting
@@ -420,7 +423,7 @@ pub fn execute(config: &RunConfig) -> Execution {
     let mut problems = Vec::new();
     // Set-up: catalogs, the corridor and seed traces, and the request
     // stream.
-    let (setup_s, mut stream) = timed_setup(|| {
+    let (mut setup, mut stream) = Setup::new(|| {
         let catalog = ZoneCatalog::worldwide();
         let sites = EdgeSiteCatalog::akamai_like(&catalog);
         let corridor = catalog.generate_traces(DEFAULT_SEED);
@@ -440,14 +443,15 @@ pub fn execute(config: &RunConfig) -> Execution {
     let mut traced = Vec::new();
     let mut tracer = Tracer::new();
     let mut measured_ns = 0.0;
-    // The latencies take each decision's fastest untraced pass, so the
-    // untraced measurement always makes two: with one pass on a slow host
-    // and two on a fast one, the pass count itself would move the median.
-    let min_untraced = if config.traced { 1 } else { 2 };
+    let min_untraced = match config.scale {
+        Scale::Full => MIN_UNTRACED_PASSES,
+        Scale::Reduced => 1,
+    };
     loop {
         let pass = run_pass(&mut stream, None);
         measured_ns += pass.wall_ns;
         untraced.push(pass);
+        setup.repeat();
         if config.traced {
             let pass = run_pass(&mut stream, Some(&mut tracer));
             measured_ns += pass.wall_ns;
@@ -495,21 +499,21 @@ pub fn execute(config: &RunConfig) -> Execution {
     } else if config.traced {
         layer_metrics(&stream, &tracer, &counters, &untraced, &traced)
     } else {
-        // Every pass sends the same decisions; a decision's latency is its
-        // fastest pass, so interference from other tenants of the host
-        // stays out of the quantiles.
-        let latencies: Vec<f64> = (0..first.latencies_ns.len())
-            .map(|i| {
-                untraced
-                    .iter()
-                    .map(|p| p.latencies_ns[i])
-                    .fold(f64::INFINITY, f64::min)
-            })
+        // The quantiles pool every decision of every untraced pass, and the
+        // throughput divides by the whole measured time, so both average the
+        // host's speed over the run rather than sampling it.
+        let latencies: Vec<f64> = untraced
+            .iter()
+            .flat_map(|p| p.latencies_ns.iter().copied())
             .collect();
-        let walls: Vec<f64> = untraced.iter().map(|p| p.wall_ns).collect();
+        let untraced_ns: f64 = untraced.iter().map(|p| p.wall_ns).sum();
         vec![
-            Metric::new("setup_s", setup_s, "s"),
-            Metric::new("ops_per_s", per_pass as f64 / (median(&walls) / 1e9), "1/s"),
+            Metric::new("setup_s", setup.median_s(), "s"),
+            Metric::new(
+                "ops_per_s",
+                latencies.len() as f64 / (untraced_ns / 1e9),
+                "1/s",
+            ),
             Metric::new("latency_p50_ms", ns_to_ms(median(&latencies)), "ms"),
             Metric::new("latency_p99_ms", ns_to_ms(quantile(&latencies, 0.99)), "ms"),
             Metric::new("peak_rss_mb", peak_rss_mb().unwrap_or(0.0), "MB"),

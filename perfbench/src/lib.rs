@@ -26,7 +26,8 @@ use std::time::Instant;
 /// The seed whose sweep renders and counters are kept under `reference/`.
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Set-up repetitions per execution; `setup_s` reports their median.
+/// Set-up repetitions per execution at the least; `setup_s` reports their
+/// median.
 pub const SETUP_REPS: usize = 5;
 
 /// A named benchmark workload.
@@ -43,7 +44,8 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// Every workload, in `BENCHMARK.json` order.
+    /// Every workload the package runs.  `BENCHMARK.json` measures `serving`
+    /// and `decide`; `grid` and `replan` run by hand.
     pub const ALL: [Workload; 4] = [
         Workload::Grid,
         Workload::Replan,
@@ -256,18 +258,46 @@ pub fn compare_counters(what: &str, a: &Counters, b: &Counters, problems: &mut V
     }
 }
 
-/// Runs `f` [`SETUP_REPS`] times and returns the median wall time in
-/// seconds together with the last result.
-pub fn timed_setup<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut times = Vec::with_capacity(SETUP_REPS);
-    let mut last = None;
-    for _ in 0..SETUP_REPS {
-        let start = Instant::now();
-        let value = std::hint::black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-        last = Some(value);
+/// A workload's set-up and its wall times over one execution.  It runs
+/// once before the first timed operation and again after every pass, so
+/// the median samples the host's speed over the whole run, not over its
+/// first seconds.
+pub struct Setup<F> {
+    run: F,
+    times: Vec<f64>,
+}
+
+impl<T, F: FnMut() -> T> Setup<F> {
+    /// Runs the set-up once and keeps its result.
+    pub fn new(run: F) -> (Self, T) {
+        let mut setup = Self {
+            run,
+            times: Vec::new(),
+        };
+        let value = setup.timed();
+        (setup, value)
     }
-    (stats::median(&times), last.expect("SETUP_REPS is positive"))
+
+    fn timed(&mut self) -> T {
+        let start = Instant::now();
+        let value = std::hint::black_box((self.run)());
+        self.times.push(start.elapsed().as_secs_f64());
+        value
+    }
+
+    /// Runs the set-up again and drops its result.
+    pub fn repeat(&mut self) {
+        self.timed();
+    }
+
+    /// Median wall time in seconds, after topping the repetitions up to
+    /// [`SETUP_REPS`].
+    pub fn median_s(mut self) -> f64 {
+        while self.times.len() < SETUP_REPS {
+            self.repeat();
+        }
+        stats::median(&self.times)
+    }
 }
 
 /// Nanoseconds to milliseconds.

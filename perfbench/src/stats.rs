@@ -15,9 +15,19 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Median (nearest-rank, lower middle for even counts).
+/// Median: the middle sample, or the mean of the two middle samples for
+/// even counts.  A sweep run holds only a few passes, and taking one of
+/// the two middle ones would add that choice's noise to the metric.
 pub fn median(values: &[f64]) -> f64 {
-    quantile(values, 0.5)
+    assert!(!values.is_empty(), "median of an empty sample");
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
 }
 
 /// Peak resident set size of this process in MiB (`VmHWM`), or `None` when
@@ -100,6 +110,7 @@ mod tests {
         let p99 = quantile(&values, 0.99);
         assert_eq!(values.iter().filter(|v| **v > p99).count(), 10);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(quantile(&[5.0], 0.99), 5.0);
     }
 }

@@ -12,8 +12,8 @@
 use crate::stats::{median, peak_rss_mb, quantile};
 use crate::tracer::Tracer;
 use crate::{
-    compare_counters, ns_to_ms, reference, timed_setup, Counters, Execution, Metric, RunConfig,
-    Scale, Workload, DEFAULT_SEED,
+    compare_counters, ns_to_ms, reference, Counters, Execution, Metric, RunConfig, Scale, Setup,
+    Workload, DEFAULT_SEED,
 };
 use carbonedge_core::{MigrationCostLevel, PlacementPolicy};
 use carbonedge_datasets::zones::ZoneArea;
@@ -491,7 +491,7 @@ pub fn execute(workload: Workload, config: &RunConfig) -> Execution {
     let mut problems = Vec::new();
     // Set-up: the catalogs and the seed's traces, as the executor builds
     // them before its first cell.
-    let (setup_s, spec) = timed_setup(|| {
+    let (mut setup, spec) = Setup::new(|| {
         let spec = spec(workload, config.seed, config.scale);
         let shared = CdnShared::new();
         for seed in &spec.seeds {
@@ -525,6 +525,7 @@ pub fn execute(workload: Workload, config: &RunConfig) -> Execution {
                 break;
             }
         }
+        setup.repeat();
         if config.traced {
             attempted += cells;
             let start = Instant::now();
@@ -580,8 +581,12 @@ pub fn execute(workload: Workload, config: &RunConfig) -> Execution {
             layer_metrics(&spec, &tracer, &counters, &walls)
         } else {
             vec![
-                Metric::new("setup_s", setup_s, "s"),
-                Metric::new("ops_per_s", cells as f64 / (median(&walls) / 1e9), "1/s"),
+                Metric::new("setup_s", setup.median_s(), "s"),
+                Metric::new(
+                    "ops_per_s",
+                    (cells * walls.len() as u64) as f64 / (walls.iter().sum::<f64>() / 1e9),
+                    "1/s",
+                ),
                 Metric::new("latency_p50_ms", ns_to_ms(median(&walls)), "ms"),
                 Metric::new("latency_p99_ms", ns_to_ms(quantile(&walls, 0.99)), "ms"),
                 Metric::new("peak_rss_mb", peak_rss_mb().unwrap_or(0.0), "MB"),

@@ -119,7 +119,7 @@ fn full_size_workloads_have_the_documented_shape() {
     assert_eq!(spec(Workload::Serving, 1, Scale::Full).cell_count(), 6);
     let per_round = 1 + perfbench::decide::REPLANS + perfbench::decide::REGIONAL_PER_ROUND;
     assert!(
-        perfbench::decide::ROUNDS * per_round >= 1000,
+        perfbench::decide::MIN_UNTRACED_PASSES * perfbench::decide::ROUNDS * per_round >= 1000,
         "the p99 needs at least ten decisions beyond it"
     );
 }
