@@ -426,24 +426,27 @@ impl IncrementalPlacer {
         activation_cost: &[f64],
     ) -> Vec<Option<usize>> {
         let (apps, servers) = problem.size();
-        let demand: Vec<Vec<Vec<f64>>> = (0..apps)
-            .map(|i| {
-                (0..servers)
-                    .map(|j| match problem.demand(i, j) {
-                        Some(d) => vec![d.compute, d.memory_mb, d.bandwidth_mbps],
-                        None => vec![0.0, 0.0, 0.0],
-                    })
-                    .collect()
-            })
-            .collect();
-        let capacity: Vec<Vec<f64>> = (0..servers)
-            .map(|j| {
-                let c = problem.servers[j].available;
-                vec![c.compute, c.memory_mb, c.bandwidth_mbps]
+        let mut demand = Vec::with_capacity(apps * servers * 3);
+        for i in 0..apps {
+            for j in 0..servers {
+                demand.extend(
+                    problem
+                        .demand(i, j)
+                        .map_or([0.0; 3], |d| [d.compute, d.memory_mb, d.bandwidth_mbps]),
+                );
+            }
+        }
+        let capacity = problem
+            .servers
+            .iter()
+            .flat_map(|s| {
+                let c = s.available;
+                [c.compute, c.memory_mb, c.bandwidth_mbps]
             })
             .collect();
         let instance = AssignmentProblem {
             cost: pair_cost.to_vec(),
+            dims: 3,
             demand,
             capacity,
             activation_cost: activation_cost.to_vec(),

@@ -1,14 +1,15 @@
-//! `lock-poison`: no bare `.lock().unwrap()`.
+//! `lock-poison`: no `.lock().unwrap()` or `.lock().expect(..)`.
 //!
-//! The bug class: a worker panicking while holding a shared-cache mutex
-//! poisons it, and every *other* worker's `.lock().unwrap()` then cascades
-//! the panic — one bad cell aborted whole sweeps until PR 7 hardened the
-//! `CdnShared` caches.  Library code must either recover
+//! The bug class: a worker panicking while holding a shared mutex poisons
+//! it, and every *other* worker's `.lock().unwrap()` then cascades the
+//! panic — one bad cell aborted whole sweeps until the `CdnShared` caches
+//! were hardened.  An `.expect("...")` message changes nothing about the
+//! cascade, so it fires too.  Library code must either recover
 //! (`.lock().unwrap_or_else(PoisonError::into_inner)` — correct whenever the
 //! protected data is structurally sound regardless of the panic, e.g.
-//! monotone insert-only caches) or state the invariant that makes
-//! propagation right (`.expect("<why a poisoned lock is unrecoverable
-//! here>")`).
+//! monotone insert-only caches or single-store result slots) or turn the
+//! poison into an error the caller handles.  A site where propagating the
+//! panic is right carries a reasoned `lint:allow(lock-poison)`.
 
 use super::{FileContext, Rule};
 use crate::diag::Diagnostic;
@@ -21,7 +22,7 @@ impl Rule for LockPoison {
     }
 
     fn summary(&self) -> &'static str {
-        "no bare .lock().unwrap(): recover via PoisonError::into_inner or .expect an invariant"
+        "no .lock().unwrap()/.expect(..): recover via PoisonError::into_inner or return an error"
     }
 
     fn applies_to(&self, path: &str) -> bool {
@@ -35,18 +36,23 @@ impl Rule for LockPoison {
         while let Some(rel) = masked[from..].find(".lock()") {
             let at = from + rel;
             let rest = masked[at + ".lock()".len()..].trim_start();
-            if rest.starts_with(".unwrap()") {
-                out.push(
-                    ctx.diag(
-                        ctx.line_of(at),
-                        self.id(),
-                        "bare `.lock().unwrap()` cascades a poisoned mutex into every \
-                     caller — use `.unwrap_or_else(PoisonError::into_inner)` when the \
-                     data is sound across panics, or `.expect(\"<invariant>\")` when \
-                     propagation is the right call"
-                            .to_string(),
+            let call = if rest.starts_with(".unwrap()") {
+                Some("unwrap()")
+            } else if rest.starts_with(".expect(") {
+                Some("expect(..)")
+            } else {
+                None
+            };
+            if let Some(call) = call {
+                out.push(ctx.diag(
+                    ctx.line_of(at),
+                    self.id(),
+                    format!(
+                        "`.lock().{call}` cascades a poisoned mutex into every caller — \
+                         use `.unwrap_or_else(PoisonError::into_inner)` when the data is \
+                         sound across panics, or map the poison to an error"
                     ),
-                );
+                ));
             }
             from = at + ".lock()".len();
         }

@@ -103,13 +103,35 @@ fn fixture_findings_carry_location_and_excerpt() {
 }
 
 #[test]
+fn lock_poison_fires_on_expect_as_well_as_unwrap() {
+    let findings = lint_source("crates/sim/src/fx.rs", &fixture("lock_poison_fire.rs"));
+    let hits: Vec<&str> = findings
+        .iter()
+        .filter(|d| d.rule == "lock-poison")
+        .map(|d| d.excerpt.as_str())
+        .collect();
+    assert_eq!(hits.len(), 2, "one finding per site: {findings:?}");
+    assert!(hits[0].contains(".lock().unwrap()"), "{hits:?}");
+    assert!(hits[1].contains(".lock().expect("), "{hits:?}");
+}
+
+#[test]
 fn an_allow_with_a_reason_silences_a_fixture_finding() {
     let fire = fixture("lock_poison_fire.rs");
-    let suppressed = fire.replace(
-        "*counter.lock().unwrap()",
-        "// lint:allow(lock-poison): fixture exercising the suppression path\n    *counter.lock().unwrap()",
+    let suppressed = fire
+        .replace(
+            "*counter.lock().unwrap()",
+            "// lint:allow(lock-poison): fixture exercising the suppression path\n    *counter.lock().unwrap()",
+        )
+        .replace(
+            "*slot.lock().expect(",
+            "// lint:allow(lock-poison): fixture exercising the suppression path\n    *slot.lock().expect(",
+        );
+    assert_eq!(
+        suppressed.matches("lint:allow").count(),
+        2,
+        "both replacement sites must exist"
     );
-    assert_ne!(fire, suppressed, "the replacement site must exist");
     let findings = lint_source("crates/sim/src/fx.rs", &suppressed);
     assert!(
         findings.is_empty(),

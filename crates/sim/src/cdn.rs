@@ -737,8 +737,7 @@ impl CdnSimulator {
     /// server counts, and the profiled service time of the configured
     /// (model, device) pair.
     fn build_serving_engine(&self) -> ServingEngine {
-        let mean_population =
-            self.sites.iter().map(|(_, _, _, p)| *p).sum::<f64>() / self.sites.len().max(1) as f64;
+        let mean_population = self.mean_population();
         let mut streams = Vec::new();
         for (site_idx, (_, _, _, pop)) in self.sites.iter().enumerate() {
             let count = self.demand_for_site(*pop, mean_population);

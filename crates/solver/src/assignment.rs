@@ -11,17 +11,25 @@
 //! on small instances.
 
 /// One instance of the placement problem in solver-neutral form.
+///
+/// Demands and capacities are flat row-major buffers over `dims` resource
+/// dimensions, so building an instance costs one allocation per buffer and
+/// a capacity check reads contiguous memory.
 #[derive(Debug, Clone)]
 pub struct AssignmentProblem {
     /// `cost[i][j]`: cost of running application `i` on server `j`, or
     /// `None` when the pair is infeasible (latency violation or
     /// incompatible hardware).
     pub cost: Vec<Vec<Option<f64>>>,
-    /// `demand[i][j][k]`: demand of application `i` on server `j` in
-    /// resource dimension `k` (only read when the pair is feasible).
-    pub demand: Vec<Vec<Vec<f64>>>,
-    /// `capacity[j][k]`: available capacity of server `j` in dimension `k`.
-    pub capacity: Vec<Vec<f64>>,
+    /// Number of resource dimensions.
+    pub dims: usize,
+    /// `demand[(i * servers + j) * dims + k]`: demand of application `i` on
+    /// server `j` in resource dimension `k` (only read when the pair is
+    /// feasible).
+    pub demand: Vec<f64>,
+    /// `capacity[j * dims + k]`: available capacity of server `j` in
+    /// dimension `k`.
+    pub capacity: Vec<f64>,
     /// `activation_cost[j]`: extra cost incurred the first time an
     /// application is placed on server `j` while it is closed.
     pub activation_cost: Vec<f64>,
@@ -37,46 +45,41 @@ impl AssignmentProblem {
 
     /// Number of servers.
     pub fn num_servers(&self) -> usize {
-        self.capacity.len()
+        self.open.len()
     }
 
     /// Validates internal dimensions; returns an error string when shapes
     /// are inconsistent.
     pub fn validate(&self) -> Result<(), String> {
         let servers = self.num_servers();
-        if self.activation_cost.len() != servers || self.open.len() != servers {
+        if self.activation_cost.len() != servers {
             return Err("activation/open length mismatch".into());
         }
-        for (i, row) in self.cost.iter().enumerate() {
-            if row.len() != servers {
-                return Err(format!("cost row {i} has wrong length"));
-            }
+        if let Some(i) = self.cost.iter().position(|row| row.len() != servers) {
+            return Err(format!("cost row {i} has wrong length"));
         }
-        if self.demand.len() != self.num_apps() {
-            return Err("demand outer length mismatch".into());
+        if self.capacity.len() != servers * self.dims {
+            return Err("capacity length mismatch".into());
         }
-        let dims = self.capacity.first().map(|c| c.len()).unwrap_or(0);
-        if self.capacity.iter().any(|c| c.len() != dims) {
-            return Err("capacity dimension mismatch".into());
-        }
-        for (i, row) in self.demand.iter().enumerate() {
-            if row.len() != servers {
-                return Err(format!("demand row {i} has wrong length"));
-            }
-            for d in row {
-                if d.len() != dims {
-                    return Err(format!("demand dims mismatch for app {i}"));
-                }
-            }
+        if self.demand.len() != self.num_apps() * servers * self.dims {
+            return Err("demand length mismatch".into());
         }
         Ok(())
     }
 
-    fn fits(&self, app: usize, server: usize, used: &[Vec<f64>]) -> bool {
-        self.demand[app][server]
+    /// The demand vector of application `app` on server `server`.
+    fn demand_of(&self, app: usize, server: usize) -> &[f64] {
+        let at = (app * self.num_servers() + server) * self.dims;
+        &self.demand[at..at + self.dims]
+    }
+
+    fn fits(&self, app: usize, server: usize, used: &[f64]) -> bool {
+        let at = server * self.dims;
+        self.demand_of(app, server)
             .iter()
-            .zip(used[server].iter().zip(self.capacity[server].iter()))
-            .all(|(d, (u, c))| u + d <= c + 1e-9)
+            .zip(used[at..at + self.dims].iter())
+            .zip(self.capacity[at..at + self.dims].iter())
+            .all(|((d, u), c)| u + d <= c + 1e-9)
     }
 
     /// Total cost of an assignment vector (operational + activation),
@@ -85,8 +88,7 @@ impl AssignmentProblem {
         if assignment.len() != self.num_apps() {
             return None;
         }
-        let dims = self.capacity.first().map(|c| c.len()).unwrap_or(0);
-        let mut used = vec![vec![0.0; dims]; self.num_servers()];
+        let mut used = vec![0.0; self.num_servers() * self.dims];
         let mut opened = vec![false; self.num_servers()];
         let mut total = 0.0;
         for (i, a) in assignment.iter().enumerate() {
@@ -95,8 +97,8 @@ impl AssignmentProblem {
             if !self.fits(i, *j, &used) {
                 return None;
             }
-            for (k, d) in self.demand[i][*j].iter().enumerate() {
-                used[*j][k] += d;
+            for (u, d) in used[*j * self.dims..].iter_mut().zip(self.demand_of(i, *j)) {
+                *u += d;
             }
             total += cost;
             if !self.open[*j] && !opened[*j] {
@@ -173,7 +175,8 @@ enum Top2 {
 struct State<'p> {
     problem: &'p AssignmentProblem,
     assignment: Vec<Option<usize>>,
-    used: Vec<Vec<f64>>,
+    /// `used[j * dims + k]`: capacity of server `j` taken in dimension `k`.
+    used: Vec<f64>,
     app_count_per_server: Vec<usize>,
     /// `marginal[i * servers + j]`: cached marginal cost of placing app `i`
     /// on server `j` in the *current* state (`NAN` = infeasible).  Placing
@@ -193,13 +196,12 @@ struct State<'p> {
 
 impl<'p> State<'p> {
     fn new(problem: &'p AssignmentProblem) -> Self {
-        let dims = problem.capacity.first().map(|c| c.len()).unwrap_or(0);
         let apps = problem.num_apps();
         let servers = problem.num_servers();
         let mut state = Self {
             problem,
             assignment: vec![None; apps],
-            used: vec![vec![0.0; dims]; servers],
+            used: vec![0.0; servers * problem.dims],
             app_count_per_server: vec![0; servers],
             marginal: vec![f64::NAN; apps * servers],
             top2: vec![Top2::Dirty; apps],
@@ -322,10 +324,64 @@ impl<'p> State<'p> {
         best
     }
 
+    /// The cheapest feasible server for the placed app `i` in the state
+    /// [`Self::unplace`] would leave, computed without mutating anything:
+    /// the cached marginal row with only the `current` column replaced by
+    /// the value unplacing would refresh it to.  Unplacing changes no other
+    /// column, and the replacement runs the same arithmetic as
+    /// `marginal_cost` on the reduced usage `u - d` (and the open test on
+    /// the reduced count), so the result is bit-identical to `unplace`
+    /// followed by [`Self::best_server`].
+    fn reduced_best(&self, i: usize, current: usize) -> Option<(usize, f64)> {
+        let problem = self.problem;
+        let dims = problem.dims;
+        let at = current * dims;
+        let fits = problem
+            .demand_of(i, current)
+            .iter()
+            .zip(self.used[at..at + dims].iter())
+            .zip(problem.capacity[at..at + dims].iter())
+            .all(|((d, u), c)| (u - d) + d <= c + 1e-9);
+        let reduced = match problem.cost[i][current] {
+            Some(base) if fits => {
+                let open = problem.open[current] || self.app_count_per_server[current] > 1;
+                base + if open {
+                    0.0
+                } else {
+                    problem.activation_cost[current]
+                }
+            }
+            _ => f64::NAN,
+        };
+        let servers = problem.num_servers();
+        let row = &self.marginal[i * servers..(i + 1) * servers];
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &c) in row.iter().enumerate() {
+            let c = if j == current { reduced } else { c };
+            if !c.is_nan() && best.is_none_or(|(_, bc)| c < bc) {
+                best = Some((j, c));
+            }
+        }
+        best
+    }
+
+    /// Whether unplacing and re-placing app `i` on server `j` leaves the
+    /// server's usage bit-identical: `(u - d) + d == u` in every dimension.
+    fn round_trips(&self, i: usize, j: usize) -> bool {
+        let at = j * self.problem.dims;
+        self.problem
+            .demand_of(i, j)
+            .iter()
+            .zip(self.used[at..].iter())
+            .all(|(d, u)| ((u - d) + d).to_bits() == u.to_bits())
+    }
+
     fn place(&mut self, i: usize, j: usize) {
         debug_assert!(self.assignment[i].is_none());
-        for (k, d) in self.problem.demand[i][j].iter().enumerate() {
-            self.used[j][k] += d;
+        let problem = self.problem;
+        let at = j * problem.dims;
+        for (u, d) in self.used[at..].iter_mut().zip(problem.demand_of(i, j)) {
+            *u += d;
         }
         self.app_count_per_server[j] += 1;
         self.assignment[i] = Some(j);
@@ -334,8 +390,10 @@ impl<'p> State<'p> {
 
     fn unplace(&mut self, i: usize) {
         if let Some(j) = self.assignment[i].take() {
-            for (k, d) in self.problem.demand[i][j].iter().enumerate() {
-                self.used[j][k] -= d;
+            let problem = self.problem;
+            let at = j * problem.dims;
+            for (u, d) in self.used[at..].iter_mut().zip(problem.demand_of(i, j)) {
+                *u -= d;
             }
             self.app_count_per_server[j] -= 1;
             self.refresh_column(j);
@@ -444,23 +502,46 @@ impl AssignmentSolver {
         }
     }
 
+    /// Visits every placed app in index order and moves it to its cheapest
+    /// feasible server in the state without it, keeping the move only on a
+    /// strict improvement of the total cost.
+    ///
+    /// A visit whose reduced-state best is the app's own server, and whose
+    /// unplace/place round trip restores the server's usage bit for bit,
+    /// cannot change the assignment, the usage or the marginal cache, so it
+    /// is skipped after a non-mutating probe.  (It would only dirty `top2`
+    /// entries, which nothing reads after construction.)  The total cost
+    /// depends only on the assignment, so it is carried across visits: it
+    /// becomes `after` on an improving move and is unchanged otherwise.
     fn local_search(&self, state: &mut State<'_>) {
+        let key = |best: Option<(usize, f64)>| best.map(|(j, c)| (j, c.to_bits()));
+        let mut before = state.total_cost();
         for _ in 0..self.local_search_passes {
             let mut improved = false;
             for i in 0..state.problem.num_apps() {
                 let Some(current) = state.assignment[i] else {
                     continue;
                 };
-                let before = state.total_cost();
+                let probe = state.reduced_best(i, current);
+                if probe.is_some_and(|(j, _)| j == current) && state.round_trips(i, current) {
+                    if cfg!(debug_assertions) {
+                        state.unplace(i);
+                        debug_assert_eq!(key(state.best_server(i)), key(probe));
+                        state.place(i, current);
+                    }
+                    continue;
+                }
                 state.unplace(i);
                 // The cheapest feasible server for i in the reduced state.
                 let best = state.best_server(i);
+                debug_assert_eq!(key(best), key(probe));
                 match best {
                     Some((j, _)) => {
                         state.place(i, j);
                         let after = state.total_cost();
                         if after < before - 1e-9 {
                             improved = true;
+                            before = after;
                         } else if j != current {
                             // Revert if no strict improvement.
                             state.unplace(i);
@@ -551,8 +632,9 @@ mod tests {
         // 2 apps, 2 servers, one resource dimension.
         AssignmentProblem {
             cost: vec![vec![Some(10.0), Some(1.0)], vec![Some(2.0), Some(8.0)]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![2.0], vec![2.0]],
+            dims: 1,
+            demand: vec![1.0; 4],
+            capacity: vec![2.0, 2.0],
             activation_cost: vec![0.0, 0.0],
             open: vec![true, true],
         }
@@ -571,7 +653,7 @@ mod tests {
         let mut p = simple_problem();
         // Both apps prefer server 1 but it only fits one.
         p.cost = vec![vec![Some(10.0), Some(1.0)], vec![Some(10.0), Some(2.0)]];
-        p.capacity = vec![vec![2.0], vec![1.0]];
+        p.capacity = vec![2.0, 1.0];
         let sol = AssignmentSolver::new().solve(&p);
         assert!(sol.is_complete());
         let cost = p.evaluate(&sol.assignment).unwrap();
@@ -586,8 +668,9 @@ mod tests {
         // server 1 cheaper per app but has a huge activation cost.
         let p = AssignmentProblem {
             cost: vec![vec![Some(5.0), Some(4.0)], vec![Some(5.0), Some(4.0)]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![2.0], vec![2.0]],
+            dims: 1,
+            demand: vec![1.0; 4],
+            capacity: vec![2.0, 2.0],
             activation_cost: vec![0.0, 100.0],
             open: vec![true, false],
         };
@@ -602,8 +685,9 @@ mod tests {
         // Cheap closed server worth opening for both apps.
         let p = AssignmentProblem {
             cost: vec![vec![Some(50.0), Some(1.0)], vec![Some(50.0), Some(1.0)]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![2.0], vec![2.0]],
+            dims: 1,
+            demand: vec![1.0; 4],
+            capacity: vec![2.0, 2.0],
             activation_cost: vec![0.0, 10.0],
             open: vec![true, false],
         };
@@ -617,8 +701,9 @@ mod tests {
     fn infeasible_pairs_are_avoided() {
         let p = AssignmentProblem {
             cost: vec![vec![None, Some(3.0)], vec![Some(2.0), None]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![1.0], vec![1.0]],
+            dims: 1,
+            demand: vec![1.0; 4],
+            capacity: vec![1.0, 1.0],
             activation_cost: vec![0.0, 0.0],
             open: vec![true, true],
         };
@@ -633,8 +718,9 @@ mod tests {
         // path by raising the exhaustive limit threshold artificially low.
         let p = AssignmentProblem {
             cost: vec![vec![Some(1.0)], vec![Some(1.0)]],
-            demand: vec![vec![vec![1.0]], vec![vec![1.0]]],
-            capacity: vec![vec![1.0]],
+            dims: 1,
+            demand: vec![1.0, 1.0],
+            capacity: vec![1.0],
             activation_cost: vec![0.0],
             open: vec![true],
         };
@@ -652,7 +738,7 @@ mod tests {
         let p = simple_problem();
         assert!(p.evaluate(&[Some(0), Some(0)]).is_some());
         let mut tight = p.clone();
-        tight.capacity = vec![vec![1.0], vec![2.0]];
+        tight.capacity = vec![1.0, 2.0];
         assert!(tight.evaluate(&[Some(0), Some(0)]).is_none());
         let mut infeasible = p.clone();
         infeasible.cost[0][0] = None;
@@ -665,6 +751,7 @@ mod tests {
     fn empty_problem_is_handled() {
         let p = AssignmentProblem {
             cost: vec![],
+            dims: 1,
             demand: vec![],
             capacity: vec![],
             activation_cost: vec![],
@@ -683,6 +770,12 @@ mod tests {
         let mut p2 = simple_problem();
         p2.cost[0] = vec![Some(1.0)];
         assert!(p2.validate().is_err());
+        let mut p3 = simple_problem();
+        p3.demand.pop();
+        assert!(p3.validate().is_err());
+        let mut p4 = simple_problem();
+        p4.dims = 2;
+        assert!(p4.validate().is_err());
         assert!(simple_problem().validate().is_ok());
     }
 
@@ -706,16 +799,11 @@ mod tests {
                             .collect()
                     })
                     .collect(),
-                demand: (0..apps)
-                    .map(|_| {
-                        (0..servers)
-                            .map(|_| vec![rng.gen_range(0.5..2.0)])
-                            .collect()
-                    })
+                dims: 1,
+                demand: (0..apps * servers)
+                    .map(|_| rng.gen_range(0.5..2.0))
                     .collect(),
-                capacity: (0..servers)
-                    .map(|_| vec![rng.gen_range(2.0..5.0)])
-                    .collect(),
+                capacity: (0..servers).map(|_| rng.gen_range(2.0..5.0)).collect(),
                 activation_cost: (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
                 open: (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
             };
@@ -754,14 +842,11 @@ mod tests {
                         .collect()
                 })
                 .collect(),
-            demand: (0..apps)
-                .map(|_| {
-                    (0..servers)
-                        .map(|_| vec![rng.gen_range(0.1..0.4), rng.gen_range(100.0..500.0)])
-                        .collect()
-                })
+            dims: 2,
+            demand: (0..apps * servers)
+                .flat_map(|_| [rng.gen_range(0.1..0.4), rng.gen_range(100.0..500.0)])
                 .collect(),
-            capacity: (0..servers).map(|_| vec![1.0, 16_000.0]).collect(),
+            capacity: (0..servers).flat_map(|_| [1.0, 16_000.0]).collect(),
             activation_cost: (0..servers).map(|_| rng.gen_range(0.0..50.0)).collect(),
             open: (0..servers).map(|i| i % 2 == 0).collect(),
         };

@@ -14,7 +14,7 @@ use crate::spec::{SweepCell, SweepSpec};
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy};
 use carbonedge_sim::cdn::CdnShared;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Parses a `--jobs N` / `--jobs=N` flag out of a CLI argument list,
 /// removing the consumed tokens.  Returns the parsed count (`0` when the
@@ -146,6 +146,9 @@ impl SweepExecutor {
         let jobs = self.effective_jobs(cells.len());
         let shared = CdnShared::new();
 
+        // A slot's only update is one `Option` store, so its data is sound
+        // even if some other holder panicked: the slot locks recover the
+        // guard instead of cascading the poison.
         let slots: Vec<Mutex<Option<CellResult>>> =
             cells.iter().map(|_| Mutex::new(None)).collect();
         // Contiguous runs of cells sharing a `ScenarioKey` — the policy axis
@@ -170,7 +173,7 @@ impl SweepExecutor {
             let mut placer = self.placer_template.clone();
             for group in &groups {
                 for i in group.clone() {
-                    *slots[i].lock().expect("result slot poisoned") =
+                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
                         Some(self.run_cell(&shared, &cells[i], &mut placer));
                 }
             }
@@ -185,7 +188,8 @@ impl SweepExecutor {
                             let Some(group) = groups.get(g) else { break };
                             for i in group.clone() {
                                 let result = self.run_cell(&shared, &cells[i], &mut placer);
-                                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
+                                    Some(result);
                             }
                         }
                     });
@@ -197,7 +201,7 @@ impl SweepExecutor {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .expect("result slot poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .expect("every cell produces a result")
             })
             .collect();

@@ -16,8 +16,9 @@ use carbonedge_geo::Coordinates;
 use carbonedge_grid::ZoneId;
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
-    presolve, BlockStructure, BranchBoundSolver, Comparison, DenseSimplexSolver, LinearExpr,
-    LpOutcome, Model, PresolveOutcome, ReferenceBranchBound, SimplexSolver, VarKind,
+    presolve, AssignmentProblem, AssignmentSolver, BlockStructure, BranchBoundSolver, Comparison,
+    DenseSimplexSolver, LinearExpr, LpOutcome, Model, PresolveOutcome, ReferenceBranchBound,
+    SimplexSolver, VarKind,
 };
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 use proptest::prelude::*;
@@ -1045,4 +1046,414 @@ fn warm_milp_resolve_is_a_fixed_point_on_every_scenario() {
             }
         }
     }
+}
+
+/// A faithful copy of the assignment heuristic as it stood before it moved
+/// to flat buffers and a non-mutating local-search probe: nested
+/// `demand[i][j][k]` / `capacity[j][k]` layout, the cached marginal columns
+/// and top-2 entries of the construction, and a local search that unplaces
+/// and re-places every app on every visit and recomputes the total cost
+/// twice per visit.  The solver must reproduce it bit for bit.
+mod legacy_assignment {
+    pub struct Problem {
+        pub cost: Vec<Vec<Option<f64>>>,
+        pub demand: Vec<Vec<Vec<f64>>>,
+        pub capacity: Vec<Vec<f64>>,
+        pub activation_cost: Vec<f64>,
+        pub open: Vec<bool>,
+    }
+
+    impl Problem {
+        fn fits(&self, app: usize, server: usize, used: &[Vec<f64>]) -> bool {
+            self.demand[app][server]
+                .iter()
+                .zip(used[server].iter().zip(self.capacity[server].iter()))
+                .all(|(d, (u, c))| u + d <= c + 1e-9)
+        }
+    }
+
+    /// What the replica's local search did, so a test can show that the
+    /// differential instances exercise real moves and reverts.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct SearchStats {
+        pub moves: usize,
+        pub reverts: usize,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Top2 {
+        Dirty,
+        Infeasible,
+        Cached(usize, f64, f64),
+    }
+
+    struct State<'p> {
+        problem: &'p Problem,
+        assignment: Vec<Option<usize>>,
+        used: Vec<Vec<f64>>,
+        app_count_per_server: Vec<usize>,
+        marginal: Vec<f64>,
+        top2: Vec<Top2>,
+        opened_scratch: Vec<bool>,
+    }
+
+    impl<'p> State<'p> {
+        fn new(problem: &'p Problem) -> Self {
+            let dims = problem.capacity.first().map(|c| c.len()).unwrap_or(0);
+            let apps = problem.cost.len();
+            let servers = problem.capacity.len();
+            let mut state = Self {
+                problem,
+                assignment: vec![None; apps],
+                used: vec![vec![0.0; dims]; servers],
+                app_count_per_server: vec![0; servers],
+                marginal: vec![f64::NAN; apps * servers],
+                top2: vec![Top2::Dirty; apps],
+                opened_scratch: vec![false; servers],
+            };
+            for i in 0..apps {
+                for j in 0..servers {
+                    let c = state.marginal_cost(i, j).unwrap_or(f64::NAN);
+                    state.marginal[i * servers + j] = c;
+                }
+            }
+            state
+        }
+
+        fn servers(&self) -> usize {
+            self.problem.capacity.len()
+        }
+
+        fn server_is_open(&self, j: usize) -> bool {
+            self.problem.open[j] || self.app_count_per_server[j] > 0
+        }
+
+        fn marginal_cost(&self, i: usize, j: usize) -> Option<f64> {
+            let base = self.problem.cost[i][j]?;
+            if !self.problem.fits(i, j, &self.used) {
+                return None;
+            }
+            let activation = if self.server_is_open(j) {
+                0.0
+            } else {
+                self.problem.activation_cost[j]
+            };
+            Some(base + activation)
+        }
+
+        fn refresh_column(&mut self, j: usize) {
+            let servers = self.servers();
+            for i in 0..self.problem.cost.len() {
+                let old = self.marginal[i * servers + j];
+                let new = self.marginal_cost(i, j).unwrap_or(f64::NAN);
+                if old.to_bits() == new.to_bits() {
+                    continue;
+                }
+                self.marginal[i * servers + j] = new;
+                match self.top2[i] {
+                    Top2::Dirty => {}
+                    Top2::Infeasible => {
+                        if !new.is_nan() {
+                            self.top2[i] = Top2::Dirty;
+                        }
+                    }
+                    Top2::Cached(best_j, _, second_c) => {
+                        if j == best_j || old <= second_c || new <= second_c {
+                            self.top2[i] = Top2::Dirty;
+                        }
+                    }
+                }
+            }
+        }
+
+        fn top2(&mut self, i: usize) -> Option<(usize, f64, f64)> {
+            if let Top2::Dirty = self.top2[i] {
+                self.top2[i] = self.rescan_top2(i);
+            }
+            match self.top2[i] {
+                Top2::Cached(best_j, best_c, second_c) => Some((best_j, best_c, second_c)),
+                Top2::Infeasible => None,
+                Top2::Dirty => unreachable!("entry was just rescanned"),
+            }
+        }
+
+        fn rescan_top2(&self, i: usize) -> Top2 {
+            let servers = self.servers();
+            let row = &self.marginal[i * servers..(i + 1) * servers];
+            let mut best: Option<(usize, f64)> = None;
+            let mut second: Option<f64> = None;
+            for (j, &c) in row.iter().enumerate() {
+                if c.is_nan() {
+                    continue;
+                }
+                match best {
+                    Some((_, bc)) if c >= bc => {
+                        if second.is_none_or(|s| c < s) {
+                            second = Some(c);
+                        }
+                    }
+                    _ => {
+                        if let Some((_, bc)) = best {
+                            second = Some(bc);
+                        }
+                        best = Some((j, c));
+                    }
+                }
+            }
+            match best {
+                Some((bj, bc)) => Top2::Cached(bj, bc, second.unwrap_or(f64::INFINITY)),
+                None => Top2::Infeasible,
+            }
+        }
+
+        fn best_server(&self, i: usize) -> Option<(usize, f64)> {
+            let servers = self.servers();
+            let row = &self.marginal[i * servers..(i + 1) * servers];
+            let mut best: Option<(usize, f64)> = None;
+            for (j, &c) in row.iter().enumerate() {
+                if !c.is_nan() && best.is_none_or(|(_, bc)| c < bc) {
+                    best = Some((j, c));
+                }
+            }
+            best
+        }
+
+        fn place(&mut self, i: usize, j: usize) {
+            for (k, d) in self.problem.demand[i][j].iter().enumerate() {
+                self.used[j][k] += d;
+            }
+            self.app_count_per_server[j] += 1;
+            self.assignment[i] = Some(j);
+            self.refresh_column(j);
+        }
+
+        fn unplace(&mut self, i: usize) {
+            if let Some(j) = self.assignment[i].take() {
+                for (k, d) in self.problem.demand[i][j].iter().enumerate() {
+                    self.used[j][k] -= d;
+                }
+                self.app_count_per_server[j] -= 1;
+                self.refresh_column(j);
+            }
+        }
+
+        fn total_cost(&mut self) -> f64 {
+            let mut total = 0.0;
+            self.opened_scratch.fill(false);
+            for (i, a) in self.assignment.iter().enumerate() {
+                if let Some(j) = a {
+                    total += self.problem.cost[i][*j].unwrap_or(0.0);
+                    if !self.problem.open[*j] && !self.opened_scratch[*j] {
+                        self.opened_scratch[*j] = true;
+                        total += self.problem.activation_cost[*j];
+                    }
+                }
+            }
+            total
+        }
+    }
+
+    /// The heuristic path of the legacy `AssignmentSolver::solve` (callers
+    /// keep instances off the exhaustive path): the assignment, its total
+    /// cost and what the local search did.
+    pub fn solve(
+        problem: &Problem,
+        regret_limit: usize,
+        local_search_passes: usize,
+    ) -> (Vec<Option<usize>>, f64, SearchStats) {
+        let apps = problem.cost.len();
+        let mut state = State::new(problem);
+        if apps > regret_limit {
+            for i in 0..apps {
+                if let Some((j, _)) = state.best_server(i) {
+                    state.place(i, j);
+                }
+            }
+        } else {
+            let mut remaining: Vec<usize> = (0..apps).collect();
+            while !remaining.is_empty() {
+                let mut chosen: Option<(usize, usize, f64)> = None;
+                for (pos, &i) in remaining.iter().enumerate() {
+                    let Some((bj, bc, second)) = state.top2(i) else {
+                        continue;
+                    };
+                    let regret = if second.is_finite() {
+                        second - bc
+                    } else {
+                        f64::INFINITY
+                    };
+                    let better = match &chosen {
+                        None => true,
+                        Some((_, _, r)) => regret > *r,
+                    };
+                    if better {
+                        chosen = Some((pos, bj, regret));
+                    }
+                }
+                match chosen {
+                    Some((pos, server, _)) => {
+                        let app = remaining.remove(pos);
+                        state.place(app, server);
+                    }
+                    None => break,
+                }
+            }
+        }
+        let mut stats = SearchStats::default();
+        for _ in 0..local_search_passes {
+            let mut improved = false;
+            for i in 0..apps {
+                let Some(current) = state.assignment[i] else {
+                    continue;
+                };
+                let before = state.total_cost();
+                state.unplace(i);
+                match state.best_server(i) {
+                    Some((j, _)) => {
+                        state.place(i, j);
+                        let after = state.total_cost();
+                        if after < before - 1e-9 {
+                            improved = true;
+                            stats.moves += 1;
+                        } else if j != current {
+                            stats.reverts += 1;
+                            state.unplace(i);
+                            state.place(i, current);
+                        }
+                    }
+                    None => state.place(i, current),
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        let cost = state.total_cost();
+        (state.assignment, cost, stats)
+    }
+}
+
+/// One random assignment instance for the legacy differential, with the
+/// regret limit that puts it in the regret (`apps <= limit`) or the simple
+/// (`apps > limit`) construction regime.  Capacities cover roughly the
+/// average load, so servers fill up, some apps stay unplaced and the local
+/// search both keeps and reverts moves; integer-valued costs make ties.
+fn random_assignment_instance(
+    rng: &mut StdRng,
+) -> (legacy_assignment::Problem, AssignmentProblem, usize) {
+    let apps = rng.gen_range(3..16);
+    let servers = rng.gen_range(2..9);
+    let dims = rng.gen_range(1..4);
+    let integral = rng.gen_bool(0.5);
+    let cost: Vec<Vec<Option<f64>>> = (0..apps)
+        .map(|_| {
+            (0..servers)
+                .map(|_| {
+                    if rng.gen_bool(0.15) {
+                        None
+                    } else if integral {
+                        Some(rng.gen_range(1..12) as f64)
+                    } else {
+                        Some(rng.gen_range(1.0..50.0))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let demand: Vec<Vec<Vec<f64>>> = (0..apps)
+        .map(|_| {
+            (0..servers)
+                .map(|_| (0..dims).map(|_| rng.gen_range(0.1..1.0)).collect())
+                .collect()
+        })
+        .collect();
+    let mean_load = 0.55 * apps as f64 / servers as f64;
+    let capacity: Vec<Vec<f64>> = (0..servers)
+        .map(|_| {
+            (0..dims)
+                .map(|_| mean_load * rng.gen_range(0.6..1.6))
+                .collect()
+        })
+        .collect();
+    let activation_cost: Vec<f64> = (0..servers).map(|_| rng.gen_range(0.0..30.0)).collect();
+    let open: Vec<bool> = (0..servers).map(|_| rng.gen_bool(0.5)).collect();
+    let regret_limit = if rng.gen_bool(0.5) { apps } else { apps / 2 };
+    let flat = AssignmentProblem {
+        cost: cost.clone(),
+        dims,
+        demand: demand.iter().flatten().flatten().copied().collect(),
+        capacity: capacity.iter().flatten().copied().collect(),
+        activation_cost: activation_cost.clone(),
+        open: open.clone(),
+    };
+    let legacy = legacy_assignment::Problem {
+        cost,
+        demand,
+        capacity,
+        activation_cost,
+        open,
+    };
+    (legacy, flat, regret_limit)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property test: the assignment heuristic returns the legacy replica's
+    /// assignment and the same `cost` bits, in both construction regimes,
+    /// over 1–3 resource dimensions with infeasible pairs, activation
+    /// costs and tight capacities.
+    #[test]
+    fn assignment_heuristic_matches_legacy_replica_bit_for_bit(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..4 {
+            let (legacy, flat, regret_limit) = random_assignment_instance(&mut rng);
+            let solver = AssignmentSolver {
+                exhaustive_limit: 0,
+                regret_limit,
+                ..AssignmentSolver::new()
+            };
+            let (assignment, cost, _) =
+                legacy_assignment::solve(&legacy, regret_limit, solver.local_search_passes);
+            let sol = solver.solve(&flat);
+            prop_assert!(
+                sol.assignment == assignment,
+                "seed {}: assignment {:?} vs legacy {:?}",
+                seed, sol.assignment, assignment
+            );
+            prop_assert!(
+                sol.cost.to_bits() == cost.to_bits(),
+                "seed {}: cost {} vs legacy {}",
+                seed, sol.cost, cost
+            );
+        }
+    }
+}
+
+/// The differential instances are not trivial: across a fixed set of seeds
+/// they cover both construction regimes, leave apps unplaced, and make the
+/// legacy local search both keep moves and revert them.
+#[test]
+fn legacy_assignment_instances_exercise_moves_and_reverts() {
+    let mut totals = legacy_assignment::SearchStats::default();
+    let (mut regret, mut simple, mut unplaced) = (0, 0, 0);
+    for seed in 0..64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (legacy, flat, regret_limit) = random_assignment_instance(&mut rng);
+        if flat.num_apps() > regret_limit {
+            simple += 1;
+        } else {
+            regret += 1;
+        }
+        let (assignment, _, stats) = legacy_assignment::solve(&legacy, regret_limit, 8);
+        unplaced += assignment.iter().filter(|a| a.is_none()).count();
+        totals.moves += stats.moves;
+        totals.reverts += stats.reverts;
+    }
+    assert!(regret > 0 && simple > 0, "regret {regret}, simple {simple}");
+    assert!(unplaced > 0, "no instance left an app unplaced");
+    assert!(
+        totals.moves > 0 && totals.reverts > 0,
+        "local search never moved or reverted: {totals:?}"
+    );
 }
